@@ -9,8 +9,8 @@
 //!    [`NAIVE_SWEEP_LIMIT`];
 //! 2. **packed-serial** — bitfield-encoded states with memoized policy
 //!    evaluation;
-//! 3. **packed-parallel** — the same sweep chunked over work-stealing
-//!    workers at each thread count in [`PAR_THREADS`].
+//! 3. **packed-parallel** — the same sweep chunked over
+//!    `trace::par_ordered` workers at each thread count in [`PAR_THREADS`].
 //!
 //! Every engine must report the identical state count, posture-class
 //! count and order-independent digests; any divergence fails the run

@@ -5,9 +5,11 @@
 //!
 //! 1. **Execute** (parallel): every home runs — or is served from the
 //!    memo — against the intel epoch installed at the last barrier.
-//!    Workers touch only `Sync` state (the scenario, the memo shards,
-//!    the outcome slots, two atomic counters) and each home is owned by
-//!    exactly one chunk, so slot writes never race.
+//!    One [`trace::par_ordered`] call maps over worker indices; worker
+//!    `w` runs chunks `w, w + N, …` with its own recycled heap and
+//!    resident pool. Workers touch only `Sync` state (the scenario, the
+//!    memo shards, the outcome slots, two atomic counters) and each
+//!    home is owned by exactly one chunk, so slot writes never race.
 //! 2. **Merge** (serial, coordinator): outcomes are folded into the
 //!    chained fleet digest in home order, totals accumulate, and fresh
 //!    discoveries flow into the discovering home's neighborhood buffer.
@@ -19,8 +21,9 @@
 //!
 //! Determinism: parts 2 and 3 are serial and iterate in home /
 //! neighborhood order; part 1 computes a pure function of
-//! `(home, epoch)` per home. Thread interleaving can only change *when*
-//! a slot is written, never what it holds — so the chained digest is
+//! `(home, epoch)` per home, and the chunk → worker assignment is
+//! static. Thread interleaving can only change *when* a slot is
+//! written, never what it holds — so the chained digest is
 //! byte-identical at any thread count, which `experiments e20` and
 //! `tests/fleet_props.rs` enforce.
 //!
@@ -38,7 +41,6 @@
 //! same digest bytes, same trace, same `BENCH_E20.json`.
 
 use crate::chaos::FleetChaos;
-use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use iotctl::aggregate::{Directory, InstallLedger, NeighborhoodBuffer, RegionIntel, RegionLog};
 use iotlearn::AttackSignature;
 use iotpolicy::intern::Interner;
@@ -47,7 +49,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use trace::digest::Fnv64;
-use trace::{TraceEvent, Tracer};
+use trace::{par_ordered, TraceEvent, Tracer};
 
 /// Number of memo shards (the E19 pattern: enough to keep lock
 /// contention negligible at any worker count, few enough to stay cheap).
@@ -199,7 +201,7 @@ pub struct FleetConfig {
     pub homes: u32,
     /// Homes per neighborhood aggregator.
     pub neighborhood: u32,
-    /// Homes per work-stealing chunk (the scheduling granule).
+    /// Homes per chunk (the scheduling granule).
     pub chunk: u32,
     /// Worker threads; `<= 1` is the serial reference path.
     pub threads: usize,
@@ -532,25 +534,22 @@ impl<S: HomeWorld> Fleet<S> {
         // Each home runs against the epoch *it* has installed (per the
         // ledger): under chaos homes diverge while waves are lost or
         // delayed; chaos-off every home sits at `installed_epoch` and
-        // this is exactly the single-epoch path. Each worker recycles
-        // one `WorldScrap` across every home it claims, so long
-        // campaigns rebuild worlds out of retained capacity instead of
-        // cold allocations.
+        // this is exactly the single-epoch path. Chunks are assigned
+        // statically — chunk `c` always runs as worker `c % nworkers`,
+        // with that worker's `WorldScrap` and resident pool — so each
+        // resident world only ever serves "its" homes, no slot crosses a
+        // thread mid-round, and the per-worker counters are a pure
+        // function of the fleet shape.
         {
             let scenario = &self.scenario;
             let memo = &self.memo;
             let slots = &self.slots;
             let snapshots: &[Option<Arc<[AttackSignature]>>] = &self.snapshots;
             let ledger = &self.ledger;
-            let scraps = &self.scraps;
+            let (scraps, residents, chunks) = (&self.scraps, &self.residents, &self.chunks);
             let (hits, misses) = (&self.memo_hits, &self.memo_misses);
-            let seed = self.cfg.seed;
-            let intel_of = |epoch: u32| -> &Arc<[AttackSignature]> {
-                snapshots[epoch as usize]
-                    .as_ref()
-                    .expect("a home's installed epoch never drops below the GC floor")
-            };
-            let exec = |home: u32, scrap: &mut WorldScrap| {
+            let (seed, resident_on) = (self.cfg.seed, self.resident_on);
+            let exec = |home: u32, scrap: &mut WorldScrap, pool: &mut ResidentPool<S::Resident>| {
                 let home_epoch = ledger.epoch_of(home);
                 let key = memo_key(home, home_epoch);
                 let shard = &memo[memo_shard(key)];
@@ -558,108 +557,35 @@ impl<S: HomeWorld> Fleet<S> {
                     hits.fetch_add(1, Ordering::Relaxed);
                     return *out;
                 }
-                let intel: &[AttackSignature] = intel_of(home_epoch);
-                let out = scenario.run_home_recycled(home, home_seed(seed, home), intel, scrap);
+                let intel = snapshots[home_epoch as usize]
+                    .as_ref()
+                    .expect("a home's installed epoch never drops below the GC floor");
+                let seed = home_seed(seed, home);
+                let out = if resident_on {
+                    let (slot, stats) = (&mut pool.slot, &mut pool.stats);
+                    scenario.run_home_resident(home, seed, home_epoch, intel, slot, scrap, stats)
+                } else {
+                    scenario.run_home_recycled(home, seed, intel, scrap)
+                };
                 shard.lock().unwrap().insert(key, out);
                 misses.fetch_add(1, Ordering::Relaxed);
                 out
             };
-            let exec_resident =
-                |home: u32, scrap: &mut WorldScrap, pool: &mut ResidentPool<S::Resident>| {
-                    let home_epoch = ledger.epoch_of(home);
-                    let key = memo_key(home, home_epoch);
-                    let shard = &memo[memo_shard(key)];
-                    if let Some(out) = shard.lock().unwrap().get(&key) {
-                        hits.fetch_add(1, Ordering::Relaxed);
-                        return *out;
-                    }
-                    let out = scenario.run_home_resident(
-                        home,
-                        home_seed(seed, home),
-                        home_epoch,
-                        intel_of(home_epoch),
-                        &mut pool.slot,
-                        scrap,
-                        &mut pool.stats,
-                    );
-                    shard.lock().unwrap().insert(key, out);
-                    misses.fetch_add(1, Ordering::Relaxed);
-                    out
-                };
-            if self.resident_on {
-                // Resident mode: static home-affine assignment — chunk
-                // `c` always runs on worker `c % threads`, so each
-                // worker's resident world only ever serves "its" homes
-                // and no slot crosses a thread mid-round. (Work stealing
-                // would migrate state; affinity is the point.)
-                let residents = &self.residents;
-                let nworkers = self.cfg.threads.max(1);
-                if nworkers == 1 {
-                    let scrap = &mut *scraps[0].lock().unwrap();
-                    let pool = &mut *residents[0].lock().unwrap();
-                    for &(start, end) in &self.chunks {
+            let nworkers = self.cfg.threads.max(1);
+            par_ordered(
+                nworkers,
+                nworkers,
+                |_| (),
+                |_, me| {
+                    let scrap = &mut *scraps[me].lock().unwrap();
+                    let pool = &mut *residents[me].lock().unwrap();
+                    for &(start, end) in chunks.iter().skip(me).step_by(nworkers) {
                         for home in start..end {
-                            *slots[home as usize].lock().unwrap() =
-                                Some(exec_resident(home, scrap, pool));
+                            *slots[home as usize].lock().unwrap() = Some(exec(home, scrap, pool));
                         }
                     }
-                } else {
-                    let chunks = &self.chunks;
-                    crossbeam::scope(|s| {
-                        for me in 0..nworkers {
-                            let exec_resident = &exec_resident;
-                            s.spawn(move |_| {
-                                let scrap = &mut *scraps[me].lock().unwrap();
-                                let pool = &mut *residents[me].lock().unwrap();
-                                for (ci, &(start, end)) in chunks.iter().enumerate() {
-                                    if ci % nworkers != me {
-                                        continue;
-                                    }
-                                    for home in start..end {
-                                        *slots[home as usize].lock().unwrap() =
-                                            Some(exec_resident(home, scrap, pool));
-                                    }
-                                }
-                            });
-                        }
-                    })
-                    .unwrap();
-                }
-            } else if self.cfg.threads <= 1 {
-                let scrap = &mut *scraps[0].lock().unwrap();
-                for &(start, end) in &self.chunks {
-                    for home in start..end {
-                        *slots[home as usize].lock().unwrap() = Some(exec(home, scrap));
-                    }
-                }
-            } else {
-                let injector: Injector<(u32, u32)> = Injector::new();
-                for &c in &self.chunks {
-                    injector.push(c);
-                }
-                let workers: Vec<Worker<(u32, u32)>> =
-                    (0..self.cfg.threads).map(|_| Worker::new_fifo()).collect();
-                let stealers: Vec<Stealer<(u32, u32)>> =
-                    workers.iter().map(|w| w.stealer()).collect();
-                crossbeam::scope(|s| {
-                    for (me, worker) in workers.into_iter().enumerate() {
-                        let injector = &injector;
-                        let stealers = &stealers;
-                        let exec = &exec;
-                        s.spawn(move |_| {
-                            let scrap = &mut *scraps[me].lock().unwrap();
-                            while let Some((start, end)) =
-                                find_task(&worker, injector, stealers, me)
-                            {
-                                for home in start..end {
-                                    *slots[home as usize].lock().unwrap() = Some(exec(home, scrap));
-                                }
-                            }
-                        });
-                    }
-                })
-                .unwrap();
-            }
+                },
+            );
         }
 
         // --- 2. merge (serial, home order) ------------------------------
@@ -1173,40 +1099,6 @@ impl<S: HomeWorld> Fleet<S> {
     }
 }
 
-/// Pop the next chunk: local deque, then the injector, then a sibling —
-/// the E16 work-stealing discipline (chunks never spawn chunks, so an
-/// all-dry scan is a correct termination test).
-fn find_task<T>(
-    local: &Worker<T>,
-    injector: &Injector<T>,
-    stealers: &[Stealer<T>],
-    me: usize,
-) -> Option<T> {
-    if let Some(t) = local.pop() {
-        return Some(t);
-    }
-    loop {
-        match injector.steal() {
-            Steal::Success(t) => return Some(t),
-            Steal::Retry => continue,
-            Steal::Empty => break,
-        }
-    }
-    for (i, s) in stealers.iter().enumerate() {
-        if i == me {
-            continue;
-        }
-        loop {
-            match s.steal() {
-                Steal::Success(t) => return Some(t),
-                Steal::Retry => continue,
-                Steal::Empty => break,
-            }
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1286,8 +1178,8 @@ mod tests {
         assert_eq!(r2.memo_hits, 12);
     }
 
-    /// Resident dispatch (static chunk→worker assignment) must produce
-    /// the same report as the work-stealing rebuild path at every
+    /// Resident dispatch must produce the same report as the rebuild
+    /// path at every
     /// thread count, even when the scenario only implements the
     /// fallback (`Resident = ()` ⇒ every run is a full build).
     #[test]

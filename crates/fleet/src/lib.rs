@@ -6,7 +6,8 @@
 //! worlds as one fleet:
 //!
 //! * [`fleet`] — the [`fleet::Fleet`] engine: homes sharded into chunks
-//!   across work-stealing worker threads (the E16 deque triple), a
+//!   assigned statically to worker threads (chunk `c` on worker
+//!   `c % N`, one [`trace::par_ordered`] call per round), a
 //!   64-shard memo keyed by `(home, intel epoch)` (the E19 pattern) so
 //!   quiesced rounds re-serve outcomes without rebuilding worlds, a
 //!   hierarchical home → neighborhood → region intel path with batched

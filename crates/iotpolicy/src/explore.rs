@@ -11,9 +11,9 @@
 //!   over `u128` words with memoized evaluation
 //!   ([`crate::packed::MemoPolicy`]), zero allocation per state.
 //! * [`explore_packed`] with `threads > 1` — packed parallel: the rank
-//!   space is cut into fixed chunks fed through the same
-//!   work-stealing-deque pattern as `bench`'s sweep runner, and chunk
-//!   results merge in **chunk order** into order-independent digests —
+//!   space is cut into fixed chunks mapped by [`trace::par_ordered`],
+//!   the same deterministic parallel map as `bench`'s sweep runner, and
+//!   chunk results merge in **chunk order** into order-independent digests —
 //!   so counts, class sets and quiet-state digests are byte-identical
 //!   to the serial engines regardless of scheduling.
 //!
@@ -31,9 +31,10 @@ use std::collections::{HashMap, HashSet};
 use std::hash::BuildHasher;
 use std::sync::Mutex;
 use trace::event::TraceEvent;
+use trace::par_ordered;
 use trace::tracer::Tracer;
 
-/// Ranks per work-stealing chunk in the parallel sweep, and frontier
+/// Ranks per chunk in the parallel sweep, and frontier
 /// states per chunk in the parallel BFS expansion.
 pub const CHUNK: u128 = 1 << 14;
 
@@ -215,7 +216,7 @@ impl SharedMemo {
 /// Exhaustive sweep with the packed engine. `None` when the schema does
 /// not pack (see [`MemoPolicy::new`]). `threads <= 1` runs serially —
 /// the canonical packed engine; `threads > 1` cuts the rank space into
-/// [`CHUNK`]-sized chunks executed by a work-stealing pool, each worker
+/// [`CHUNK`]-sized chunks mapped by [`par_ordered`], each worker
 /// holding its own [`MemoPolicy`], and merges the chunk results in
 /// chunk order. Counts and digests are identical in all three modes.
 pub fn explore_packed(policy: &FsmPolicy, threads: usize) -> Option<SpaceStats> {
@@ -228,100 +229,58 @@ pub fn explore_packed(policy: &FsmPolicy, threads: usize) -> Option<SpaceStats> 
     let size = layout.size();
     let n_chunks = size.div_ceil(CHUNK) as usize;
 
-    let injector = crossbeam::deque::Injector::new();
-    for chunk in 0..n_chunks {
-        injector.push(chunk);
-    }
-    let slots: Vec<Mutex<Option<ChunkOut>>> = (0..n_chunks).map(|_| Mutex::new(None)).collect();
     let shared = SharedMemo::new();
-
-    let workers: Vec<crossbeam::deque::Worker<usize>> =
-        (0..threads).map(|_| crossbeam::deque::Worker::new_fifo()).collect();
-    let stealers: Vec<crossbeam::deque::Stealer<usize>> =
-        workers.iter().map(|w| w.stealer()).collect();
-
-    crossbeam::scope(|scope| {
-        for (wid, worker) in workers.into_iter().enumerate() {
-            let injector = &injector;
-            let stealers = &stealers;
-            let slots = &slots;
-            let layout = &layout;
-            let shared = &shared;
-            scope.spawn(move |_| {
-                let memo = MemoPolicy::new(policy).expect("probed packable above");
-                // Per-worker lock-free cache over the shared cold table,
-                // fronted by a one-entry last-mask cache (consecutive
-                // ranks usually trip the same rule set).
-                let mut local: HashMap<RuleMask, (u64, bool), FxBuild> = HashMap::default();
-                let mut last: Option<(RuleMask, (u64, bool))> = None;
-                let find_task = |local: &crossbeam::deque::Worker<usize>| -> Option<usize> {
-                    local.pop().or_else(|| {
-                        std::iter::repeat_with(|| {
-                            injector.steal().success().or_else(|| {
-                                stealers
-                                    .iter()
-                                    .enumerate()
-                                    .filter(|(sid, _)| *sid != wid)
-                                    .find_map(|(_, s)| s.steal().success())
-                            })
-                        })
-                        .take(2)
-                        .flatten()
-                        .next()
-                    })
-                };
-                while let Some(chunk) = find_task(&worker) {
-                    let start = chunk as u128 * CHUNK;
-                    let end = (start + CHUNK).min(size);
-                    let mut out = ChunkOut {
-                        states: 0,
-                        quiet_states: 0,
-                        quiet_digest: 0,
-                        new_classes: Vec::new(),
+    // Each worker holds its own `MemoPolicy` and a lock-free cache over
+    // the shared cold table, fronted by a one-entry last-mask cache
+    // (consecutive ranks usually trip the same rule set).
+    let init = |_| {
+        let memo = MemoPolicy::new(policy).expect("probed packable above");
+        let local: HashMap<RuleMask, (u64, bool), FxBuild> = HashMap::default();
+        let last: Option<(RuleMask, (u64, bool))> = None;
+        (memo, local, last)
+    };
+    let outs = par_ordered(n_chunks, threads, init, |(memo, local, last), chunk| {
+        let start = chunk as u128 * CHUNK;
+        let end = (start + CHUNK).min(size);
+        let mut out =
+            ChunkOut { states: 0, quiet_states: 0, quiet_digest: 0, new_classes: Vec::new() };
+        // Full mask once at the chunk's first rank, then incremental
+        // maintenance along the odometer.
+        let mut p = layout.from_rank(start);
+        let mut mask = memo.mask_of(p);
+        for rank in start..end {
+            let (_, quiet) = match *last {
+                Some((last_mask, v)) if last_mask == mask => v,
+                _ => {
+                    let v = match local.get(&mask) {
+                        Some(&v) => v,
+                        None => {
+                            let v = shared.resolve(memo, mask, &mut out);
+                            local.insert(mask, v);
+                            v
+                        }
                     };
-                    // Full mask once at the chunk's first rank, then
-                    // incremental maintenance along the odometer.
-                    let mut p = layout.from_rank(start);
-                    let mut mask = memo.mask_of(p);
-                    for rank in start..end {
-                        let (_, quiet) = match last {
-                            Some((last_mask, v)) if last_mask == mask => v,
-                            _ => {
-                                let v = match local.get(&mask) {
-                                    Some(&v) => v,
-                                    None => {
-                                        let v = shared.resolve(&memo, mask, &mut out);
-                                        local.insert(mask, v);
-                                        v
-                                    }
-                                };
-                                last = Some((mask, v));
-                                v
-                            }
-                        };
-                        if quiet {
-                            out.quiet_states += 1;
-                            out.quiet_digest ^= fnv_rank(rank);
-                        }
-                        out.states += 1;
-                        if rank + 1 < end {
-                            let (n, changed) =
-                                layout.next_masked(p).expect("odometer ended inside the range");
-                            p = n;
-                            memo.mask_step(&mut mask, n, changed);
-                        }
-                    }
-                    *slots[chunk].lock().unwrap() = Some(out);
+                    *last = Some((mask, v));
+                    v
                 }
-            });
+            };
+            if quiet {
+                out.quiet_states += 1;
+                out.quiet_digest ^= fnv_rank(rank);
+            }
+            out.states += 1;
+            if rank + 1 < end {
+                let (n, changed) = layout.next_masked(p).expect("odometer ended inside the range");
+                p = n;
+                memo.mask_step(&mut mask, n, changed);
+            }
         }
-    })
-    .expect("exploration worker panicked");
+        out
+    });
 
     let mut stats = SpaceStats::default();
     let mut classes = ClassSet::default();
-    for slot in &slots {
-        let out = slot.lock().unwrap().take().expect("every chunk must report");
+    for out in outs {
         stats.states += out.states;
         stats.quiet_states += out.quiet_states;
         stats.quiet_digest ^= out.quiet_digest;
@@ -452,8 +411,8 @@ pub fn bfs_uses_dense_visited(policy: &FsmPolicy) -> Option<bool> {
 
 /// Frontier BFS over the packed space from the initial state; successors
 /// flip one slot to one other value. `None` when the schema does not
-/// pack. `threads > 1` expands each frontier in [`CHUNK`]-sized slices
-/// on a scoped pool — workers only *read* the visited arena (it is
+/// pack. Each frontier is expanded in [`CHUNK`]-sized slices through
+/// [`par_ordered`] — workers only *read* the visited arena (it is
 /// mutated exclusively by the merge, between depths), and slice results
 /// merge in slice order, so the per-depth frontier vectors are
 /// byte-identical to the serial expansion. One
@@ -475,34 +434,13 @@ pub fn bfs_packed(policy: &FsmPolicy, threads: usize, tracer: &Tracer) -> Option
             depth as u64,
             TraceEvent::SpaceFrontier { depth, frontier: frontier.len() as u64 },
         );
-        let candidates: Vec<Vec<u128>> = if threads <= 1 || frontier.len() < CHUNK as usize {
-            vec![expand_slice(&layout, &visited, &frontier)]
-        } else {
-            let slices: Vec<&[u128]> = frontier.chunks(CHUNK as usize).collect();
-            let outs: Vec<Mutex<Option<Vec<u128>>>> =
-                slices.iter().map(|_| Mutex::new(None)).collect();
-            let next_slice = std::sync::atomic::AtomicUsize::new(0);
-            crossbeam::scope(|scope| {
-                for _ in 0..threads {
-                    let slices = &slices;
-                    let outs = &outs;
-                    let next_slice = &next_slice;
-                    let layout = &layout;
-                    let visited = &visited;
-                    scope.spawn(move |_| loop {
-                        let i = next_slice.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if i >= slices.len() {
-                            break;
-                        }
-                        *outs[i].lock().unwrap() = Some(expand_slice(layout, visited, slices[i]));
-                    });
-                }
-            })
-            .expect("BFS expansion worker panicked");
-            outs.into_iter()
-                .map(|m| m.into_inner().unwrap().expect("every slice must report"))
-                .collect()
-        };
+        let slices: Vec<&[u128]> = frontier.chunks(CHUNK as usize).collect();
+        let candidates = par_ordered(
+            slices.len(),
+            threads,
+            |_| (),
+            |_, i| expand_slice(&layout, &visited, slices[i]),
+        );
         let mut next = Vec::new();
         for chunk in candidates {
             for cand in chunk {

@@ -35,6 +35,8 @@
 //! * [`diff`] — first-divergence reporting for golden-trace tests.
 //! * [`digest`] — streaming FNV-1a digests for fleet-scale (E20)
 //!   serial≡parallel comparisons without retaining per-home output.
+//! * [`par`] — [`par::par_ordered`], the deterministic parallel map the
+//!   world sweep, the fleet round and the state-space engines share.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,6 +45,7 @@ pub mod aggregate;
 pub mod diff;
 pub mod digest;
 pub mod event;
+pub mod par;
 pub mod registry;
 pub mod tracer;
 
@@ -50,5 +53,6 @@ pub use aggregate::TraceAggregator;
 pub use diff::{first_divergence, render_divergence, Divergence};
 pub use digest::Fnv64;
 pub use event::{EventClass, TraceEvent};
+pub use par::par_ordered;
 pub use registry::{MetricValue, MetricsRegistry};
 pub use tracer::{TraceConfig, Tracer};

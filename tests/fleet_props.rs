@@ -4,6 +4,7 @@
 
 use iotsec_fleet::{home_seed, Fleet, FleetConfig, FleetScenario};
 use iotsec_repro::iotsec::world::{HomeOverrides, World};
+use iotsec_repro::trace::MetricsRegistry;
 use proptest::prelude::*;
 
 /// Rounds per property case: breach round + defended round is enough to
@@ -82,7 +83,7 @@ proptest! {
 
 /// Thread invariance at a shape where chunks, neighborhoods and the home
 /// count are all mutually misaligned (37 = prime, nbhd 5, chunk 3), with
-/// enough homes that the work-stealing path genuinely interleaves.
+/// enough homes that every worker runs several chunks.
 #[test]
 fn misaligned_fleet_is_thread_invariant() {
     let cfg = FleetConfig { homes: 37, neighborhood: 5, chunk: 3, threads: 1, seed: 20151116 };
@@ -92,5 +93,27 @@ fn misaligned_fleet_is_thread_invariant() {
     for threads in [2usize, 3, 4, 8] {
         let par = run_fleet(cfg.with_threads(threads), 4, 3).report();
         assert_eq!(par, reference, "threads {threads}");
+    }
+    // Chunks are assigned to workers statically, so the per-worker
+    // counters (resident pools, recycled heaps) repeat exactly across
+    // reruns at a fixed thread count, in resident and rebuild mode.
+    let counters = |resident: bool| {
+        let mut fleet = Fleet::new(FleetScenario::new(4), cfg.with_threads(2));
+        fleet.set_resident(resident);
+        for _ in 0..3 {
+            fleet.round();
+        }
+        let mut reg = MetricsRegistry::new();
+        fleet.export_metrics(&mut reg);
+        let scrap: Vec<_> = reg
+            .snapshot()
+            .into_iter()
+            .filter(|(name, _)| name.starts_with("fleet.scrap."))
+            .collect();
+        assert_eq!(scrap.len(), 4);
+        (fleet.resident_stats(), scrap)
+    };
+    for resident in [false, true] {
+        assert_eq!(counters(resident), counters(resident), "resident {resident}");
     }
 }
