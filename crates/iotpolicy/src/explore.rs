@@ -1,21 +1,21 @@
 //! State-space exploration: exhaustive sweeps and frontier BFS over the
 //! packed engine (experiment E19).
 //!
-//! Three interchangeable engines compute the same [`SpaceStats`]:
+//! Two interchangeable engines compute the same [`SpaceStats`]:
 //!
 //! * [`explore_naive`] — the legacy formulation: clone a
 //!   [`crate::state_space::SystemState`] per state, re-walk the rule
-//!   list through [`FsmPolicy::evaluate`]. The reference the fast
-//!   engines are differentially tested against.
-//! * [`explore_packed`] with `threads <= 1` — packed serial: odometer
-//!   over `u128` words with memoized evaluation
-//!   ([`crate::packed::MemoPolicy`]), zero allocation per state.
-//! * [`explore_packed`] with `threads > 1` — packed parallel: the rank
-//!   space is cut into fixed chunks mapped by [`trace::par_ordered`],
-//!   the same deterministic parallel map as `bench`'s sweep runner, and
-//!   chunk results merge in **chunk order** into order-independent digests —
-//!   so counts, class sets and quiet-state digests are byte-identical
-//!   to the serial engines regardless of scheduling.
+//!   list through [`FsmPolicy::evaluate`]. The reference the packed
+//!   engine is differentially tested against.
+//! * [`explore_packed`] — odometer over `u128` words with memoized
+//!   evaluation ([`crate::packed::MemoPolicy`]), zero allocation per
+//!   warm state. The rank space is cut into one contiguous range per
+//!   thread, each swept by its own serial engine through
+//!   [`trace::par_ordered`]; the ranges' class tables then merge by
+//!   value ([`MemoPolicy::absorb`]) and their quiet-state digests by
+//!   XOR, so counts, class sets and digests are byte-identical at every
+//!   thread count. At one thread there is one range: the plain serial
+//!   loop.
 //!
 //! [`bfs_packed`] explores the same space as a breadth-first frontier
 //! expansion from the initial state (successor relation = one slot
@@ -24,18 +24,15 @@
 //! otherwise, emitting one control-class
 //! [`TraceEvent::SpaceFrontier`] per depth.
 
-use crate::packed::{FxBuild, MemoPolicy, PackedState, RuleMask};
+use crate::packed::{FxBuild, MemoPolicy, PackedLayout, PackedState};
 use crate::policy::FsmPolicy;
 use fixedbitset::FixedBitSet;
 use std::collections::{HashMap, HashSet};
-use std::hash::BuildHasher;
-use std::sync::Mutex;
 use trace::event::TraceEvent;
 use trace::par_ordered;
 use trace::tracer::Tracer;
 
-/// Ranks per chunk in the parallel sweep, and frontier
-/// states per chunk in the parallel BFS expansion.
+/// Frontier states per chunk in the parallel BFS expansion.
 pub const CHUNK: u128 = 1 << 14;
 
 /// Largest packed-word width for which the BFS visited set uses a dense
@@ -59,9 +56,10 @@ fn fnv_rank(rank: u128) -> u64 {
     fnv64(&rank.to_le_bytes())
 }
 
-/// Aggregate result of one exhaustive sweep. Every field is either a
-/// count or an XOR-of-FNV digest, so partial results merge by addition /
-/// XOR in any order — the determinism argument of the parallel engine.
+/// Aggregate result of one exhaustive sweep. The state counts and the
+/// quiet digest merge by addition / XOR in any order, and the class
+/// fields are read off the by-value merged class table — the
+/// determinism argument of the parallel sweep.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SpaceStats {
     /// States visited (the schema's exact size).
@@ -74,8 +72,9 @@ pub struct SpaceStats {
     pub quiet_states: u128,
     /// XOR of `fnv(rank)` over the quiet states.
     pub quiet_digest: u64,
-    /// Memoized-evaluation `(lookups, hits)` — engine diagnostics, only
-    /// meaningful (and only deterministic) for the serial packed engine;
+    /// Memoized-evaluation `(lookups, hits)` — engine diagnostics:
+    /// the deterministic sum over the packed sweep's rank ranges, so it
+    /// depends on the thread count (E19 reports the one-thread value);
     /// zero for the naive engine. Not part of [`SpaceStats::digest`].
     pub memo: (u64, u64),
 }
@@ -104,11 +103,7 @@ struct ClassSet {
 impl ClassSet {
     /// Intern `v`, returning its id.
     fn intern(&mut self, v: &crate::posture::PostureVector) -> usize {
-        self.intern_with_fp(v.fingerprint(), v)
-    }
-
-    /// Intern `v` whose fingerprint the caller already computed.
-    fn intern_with_fp(&mut self, fp: u64, v: &crate::posture::PostureVector) -> usize {
+        let fp = v.fingerprint();
         let chain = self.by_fp.entry(fp).or_default();
         for &id in chain.iter() {
             if self.vecs[id] == *v {
@@ -148,183 +143,73 @@ pub fn explore_naive(policy: &FsmPolicy) -> SpaceStats {
     stats
 }
 
-/// Per-chunk partial result of the parallel sweep.
-struct ChunkOut {
-    states: u128,
-    quiet_states: u128,
-    quiet_digest: u64,
-    /// `(fingerprint, posture vector)` pairs whose rule set this worker
-    /// was the first to evaluate (per the shared cold table). Distinct
-    /// masks can still map to equal vectors, so the merge re-interns —
-    /// but with the fingerprint precomputed.
-    new_classes: Vec<(u64, crate::posture::PostureVector)>,
-}
-
-/// Number of lock shards in the parallel sweep's shared cold table.
-const MEMO_SHARDS: usize = 64;
-
-/// One shard of the shared cold table: rule mask → `(fingerprint, quiet)`.
-type MemoShard = Mutex<HashMap<RuleMask, (u64, bool), FxBuild>>;
-
-/// The parallel sweep's shared memo: rule mask → `(fingerprint, quiet)`,
-/// sharded by mask hash so each distinct rule set is evaluated **once
-/// across all workers** (the cold evaluation builds a full posture
-/// vector — by far the most expensive step in the sweep). Workers front
-/// this with a per-worker unsharded cache, so the locks only see first
-/// sightings.
-struct SharedMemo {
-    shards: Vec<MemoShard>,
-    build: FxBuild,
-}
-
-impl SharedMemo {
-    fn new() -> SharedMemo {
-        SharedMemo {
-            shards: (0..MEMO_SHARDS).map(|_| Mutex::new(HashMap::default())).collect(),
-            build: FxBuild::default(),
-        }
-    }
-
-    fn shard(&self, mask: &RuleMask) -> &MemoShard {
-        &self.shards[self.build.hash_one(mask) as usize % MEMO_SHARDS]
-    }
-
-    /// Resolve `mask`, evaluating via `memo` at most once globally. The
-    /// boolean is true when this caller won the evaluation race and owns
-    /// exporting the class.
-    fn resolve(&self, memo: &MemoPolicy<'_>, mask: RuleMask, out: &mut ChunkOut) -> (u64, bool) {
-        let shard = self.shard(&mask);
-        if let Some(&v) = shard.lock().unwrap().get(&mask) {
-            return v;
-        }
-        // Evaluate outside the lock: a racing worker may duplicate the
-        // work, but only the insert winner exports the class.
-        let vec = memo.posture_for_mask(mask);
-        let fp = vec.fingerprint();
-        let quiet = vec.by_device.is_empty();
-        let mut guard = shard.lock().unwrap();
-        if let Some(&v) = guard.get(&mask) {
-            return v;
-        }
-        guard.insert(mask, (fp, quiet));
-        drop(guard);
-        out.new_classes.push((fp, vec));
-        (fp, quiet)
-    }
-}
-
 /// Exhaustive sweep with the packed engine. `None` when the schema does
-/// not pack (see [`MemoPolicy::new`]). `threads <= 1` runs serially —
-/// the canonical packed engine; `threads > 1` cuts the rank space into
-/// [`CHUNK`]-sized chunks mapped by [`par_ordered`], each worker
-/// holding its own [`MemoPolicy`], and merges the chunk results in
-/// chunk order. Counts and digests are identical in all three modes.
+/// not pack (see [`MemoPolicy::new`]). The rank space `0..size` is cut
+/// into `min(max(threads, 1), size)` contiguous ranges, each swept by
+/// [`sweep_range`] on its own engine via [`par_ordered`]; every range is
+/// then absorbed into the one with the most classes (ties to the lowest
+/// index). Counts and digests are identical at every thread count.
 pub fn explore_packed(policy: &FsmPolicy, threads: usize) -> Option<SpaceStats> {
-    if threads <= 1 {
-        return explore_packed_serial(policy);
-    }
-    let memo_probe = MemoPolicy::new(policy)?;
-    let layout = memo_probe.layout().clone();
-    drop(memo_probe);
+    let layout = PackedLayout::of(&policy.schema)?;
     let size = layout.size();
-    let n_chunks = size.div_ceil(CHUNK) as usize;
-
-    let shared = SharedMemo::new();
-    // Each worker holds its own `MemoPolicy` and a lock-free cache over
-    // the shared cold table, fronted by a one-entry last-mask cache
-    // (consecutive ranks usually trip the same rule set).
-    let init = |_| {
-        let memo = MemoPolicy::new(policy).expect("probed packable above");
-        let local: HashMap<RuleMask, (u64, bool), FxBuild> = HashMap::default();
-        let last: Option<(RuleMask, (u64, bool))> = None;
-        (memo, local, last)
-    };
-    let outs = par_ordered(n_chunks, threads, init, |(memo, local, last), chunk| {
-        let start = chunk as u128 * CHUNK;
-        let end = (start + CHUNK).min(size);
-        let mut out =
-            ChunkOut { states: 0, quiet_states: 0, quiet_digest: 0, new_classes: Vec::new() };
-        // Full mask once at the chunk's first rank, then incremental
-        // maintenance along the odometer.
-        let mut p = layout.from_rank(start);
-        let mut mask = memo.mask_of(p);
-        for rank in start..end {
-            let (_, quiet) = match *last {
-                Some((last_mask, v)) if last_mask == mask => v,
-                _ => {
-                    let v = match local.get(&mask) {
-                        Some(&v) => v,
-                        None => {
-                            let v = shared.resolve(memo, mask, &mut out);
-                            local.insert(mask, v);
-                            v
-                        }
-                    };
-                    *last = Some((mask, v));
-                    v
-                }
-            };
-            if quiet {
-                out.quiet_states += 1;
-                out.quiet_digest ^= fnv_rank(rank);
-            }
-            out.states += 1;
-            if rank + 1 < end {
-                let (n, changed) = layout.next_masked(p).expect("odometer ended inside the range");
-                p = n;
-                memo.mask_step(&mut mask, n, changed);
-            }
-        }
-        out
-    });
-
-    let mut stats = SpaceStats::default();
-    let mut classes = ClassSet::default();
-    for out in outs {
-        stats.states += out.states;
-        stats.quiet_states += out.quiet_states;
-        stats.quiet_digest ^= out.quiet_digest;
-        for (fp, v) in &out.new_classes {
-            classes.intern_with_fp(*fp, v);
-        }
-    }
-    stats.classes = classes.vecs.len() as u64;
-    stats.class_digest = classes.digest();
-    Some(stats)
-}
-
-/// The serial packed engine: the zero-alloc inner loop the allocation
-/// profile test pins.
-fn explore_packed_serial(policy: &FsmPolicy) -> Option<SpaceStats> {
-    let mut memo = MemoPolicy::new(policy)?;
-    let layout = memo.layout().clone();
-    let mut stats = SpaceStats::default();
-    let mut p = layout.first();
-    let mut mask = memo.mask_of(p);
-    let mut rank: u128 = 0;
-    loop {
-        let id = memo.class_of_mask(mask);
-        if memo.is_quiet(id) {
-            stats.quiet_states += 1;
-            stats.quiet_digest ^= fnv_rank(rank);
-        }
-        stats.states += 1;
-        rank += 1;
-        // Incremental mask maintenance: only rules touching the
-        // odometer's changed low digits are re-tested.
-        match layout.next_masked(p) {
-            Some((n, changed)) => {
-                p = n;
-                memo.mask_step(&mut mask, n, changed);
-            }
-            None => break,
-        }
+    let parts = (threads.max(1) as u128).min(size);
+    // `size·w / parts`, without forming `size·w` (size may be ~2¹²⁷).
+    let bound = |w: u128| size / parts * w + size % parts * w / parts;
+    let mut ranges = par_ordered(
+        parts as usize,
+        threads,
+        |_| (),
+        |_, w| sweep_range(policy, &layout, bound(w as u128)..bound(w as u128 + 1)),
+    )
+    .into_iter()
+    .collect::<Option<Vec<_>>>()?;
+    // `max_by_key` keeps the last maximum; scanning backwards makes
+    // that the lowest index.
+    let keep = (0..ranges.len()).rev().max_by_key(|&i| ranges[i].0.class_count())?;
+    let (mut memo, mut stats) = ranges.swap_remove(keep);
+    for (other, part) in &ranges {
+        memo.absorb(other);
+        stats.states += part.states;
+        stats.quiet_states += part.quiet_states;
+        stats.quiet_digest ^= part.quiet_digest;
     }
     stats.classes = memo.class_count() as u64;
     stats.class_digest =
         (0..memo.class_count() as u32).map(|id| memo.class_fingerprint(id)).fold(0, |a, b| a ^ b);
     stats.memo = memo.stats();
     Some(stats)
+}
+
+/// The serial packed engine over the ranks `range` of `layout`: the
+/// zero-alloc inner loop the allocation profile test pins. Returns the
+/// engine (its class table) and the range's counts and quiet digest;
+/// class fields are left for the caller's merge. `None` when the
+/// policy does not fit [`MemoPolicy`].
+fn sweep_range<'a>(
+    policy: &'a FsmPolicy,
+    layout: &PackedLayout,
+    range: std::ops::Range<u128>,
+) -> Option<(MemoPolicy<'a>, SpaceStats)> {
+    let mut memo = MemoPolicy::new(policy)?;
+    let mut stats = SpaceStats::default();
+    let mut p = layout.from_rank(range.start);
+    let mut mask = memo.mask_of(p);
+    for rank in range.clone() {
+        let id = memo.class_of_mask(mask);
+        if memo.is_quiet(id) {
+            stats.quiet_states += 1;
+            stats.quiet_digest ^= fnv_rank(rank);
+        }
+        stats.states += 1;
+        // Incremental mask maintenance: only rules touching the
+        // odometer's changed low digits are re-tested.
+        if rank + 1 < range.end {
+            let (n, changed) = layout.next_masked(p).expect("odometer ended inside the range");
+            p = n;
+            memo.mask_step(&mut mask, n, changed);
+        }
+    }
+    Some((memo, stats))
 }
 
 /// Result of a frontier BFS from the initial state.
@@ -357,7 +242,7 @@ enum Visited {
 }
 
 impl Visited {
-    fn for_layout(layout: &crate::packed::PackedLayout) -> Visited {
+    fn for_layout(layout: &PackedLayout) -> Visited {
         if layout.total_bits() <= DENSE_WORD_BITS_MAX {
             Visited::Dense(FixedBitSet::with_capacity(layout.word_space() as usize))
         } else {
@@ -405,7 +290,7 @@ fn fnv_depth_word(depth: u32, word: u128) -> u64 {
 /// Whether a packed BFS over this policy's schema would use the dense
 /// visited arena (E19 reports this per population).
 pub fn bfs_uses_dense_visited(policy: &FsmPolicy) -> Option<bool> {
-    let layout = crate::packed::PackedLayout::of(&policy.schema)?;
+    let layout = PackedLayout::of(&policy.schema)?;
     Some(layout.total_bits() <= DENSE_WORD_BITS_MAX)
 }
 
@@ -419,7 +304,7 @@ pub fn bfs_uses_dense_visited(policy: &FsmPolicy) -> Option<bool> {
 /// [`TraceEvent::SpaceFrontier`] is emitted per depth with
 /// `at_ns = depth`.
 pub fn bfs_packed(policy: &FsmPolicy, threads: usize, tracer: &Tracer) -> Option<BfsStats> {
-    let layout = crate::packed::PackedLayout::of(&policy.schema)?;
+    let layout = PackedLayout::of(&policy.schema)?;
     let mut visited = Visited::for_layout(&layout);
     let mut stats = BfsStats::default();
     let mut frontier: Vec<u128> = vec![layout.first().0];
@@ -460,11 +345,7 @@ pub fn bfs_packed(policy: &FsmPolicy, threads: usize, tracer: &Tracer) -> Option
 /// Expand one frontier slice: successors of each member not yet in the
 /// (frozen) visited arena, in enumeration order. Duplicates within and
 /// across slices are removed by the caller's ordered merge.
-fn expand_slice(
-    layout: &crate::packed::PackedLayout,
-    visited: &Visited,
-    slice: &[u128],
-) -> Vec<u128> {
+fn expand_slice(layout: &PackedLayout, visited: &Visited, slice: &[u128]) -> Vec<u128> {
     let mut out = Vec::new();
     for w in slice {
         layout.successors(PackedState(*w), |s| {
@@ -561,7 +442,7 @@ mod tests {
     fn packed_parallel_matches_serial_at_multiple_widths() {
         let policy = small_policy();
         let serial = explore_packed(&policy, 1).unwrap();
-        for threads in [2, 3, 4] {
+        for threads in [2, 3, 4, 8, 64] {
             let par = explore_packed(&policy, threads).unwrap();
             assert_eq!(serial.digest(), par.digest(), "threads={threads}");
         }

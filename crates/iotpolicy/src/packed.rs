@@ -692,33 +692,13 @@ impl<'a> MemoPolicy<'a> {
                 Some(&pid) => pid,
                 None => {
                     let p = self.merge_slot(rslot, sub);
-                    // Dedup by value: two sub-masks with the same final
-                    // posture share one id, so id-tuple equality is
-                    // exactly posture-vector equality.
-                    let pid = match slot_postures[rslot].iter().position(|q| *q == p) {
-                        Some(existing) => existing as u32,
-                        None => {
-                            slot_postures[rslot].push(p);
-                            (slot_postures[rslot].len() - 1) as u32
-                        }
-                    };
+                    let pid = slot_pid(&mut slot_postures[rslot], p);
                     slot_memo[rslot].insert(sub, pid);
                     pid
                 }
             };
             out.push(pid);
         }
-    }
-
-    /// Build the posture vector a rule-match set produces, exactly as
-    /// [`FsmPolicy::evaluate`] does on any state matching that set. The
-    /// cold half of [`MemoPolicy::class_of`], exposed so the parallel
-    /// sweep can share cold results across workers without sharing the
-    /// intern tables.
-    pub fn posture_for_mask(&self, mask: RuleMask) -> PostureVector {
-        let mut pids = Vec::with_capacity(self.resolved_slots.len());
-        self.pids_for_mask(mask, &mut pids);
-        self.materialize(&pids)
     }
 
     /// Materialize the full posture vector of a per-position id tuple.
@@ -789,28 +769,35 @@ impl<'a> MemoPolicy<'a> {
     fn intern_rule_set(&mut self, mask: RuleMask) -> u32 {
         let mut pids = std::mem::take(&mut self.pid_scratch);
         self.pids_for_mask(mask, &mut pids);
+        let id = self.intern_pids(&pids, None);
+        self.pid_scratch = pids;
+        id
+    }
+
+    /// Intern a per-position slot-posture id tuple, returning its class
+    /// id. `fp_quiet` is the tuple's fingerprint and quiet flag when the
+    /// caller already knows them; otherwise they are streamed from the
+    /// slot postures on first sighting.
+    fn intern_pids(&mut self, pids: &[u32], fp_quiet: Option<(u64, bool)>) -> u32 {
         let mut th = FxHasher::default();
-        for &pid in &pids {
+        for &pid in pids {
             th.write_u32(pid);
         }
         let th = th.finish();
         let stride = self.resolved_slots.len();
         let tuple_eq = |arena: &[u32], id: u32| -> bool {
-            &arena[id as usize * stride..id as usize * stride + stride] == pids.as_slice()
+            &arena[id as usize * stride..id as usize * stride + stride] == pids
         };
         let id = self.class_fps.len() as u32;
         match self.tuple_index.entry(th) {
             std::collections::hash_map::Entry::Occupied(first) => {
                 let first = *first.get();
                 if tuple_eq(&self.class_pids, first) {
-                    self.pid_scratch = pids;
                     return first;
                 }
                 for (oth, oid) in &self.tuple_overflow {
                     if *oth == th && tuple_eq(&self.class_pids, *oid) {
-                        let oid = *oid;
-                        self.pid_scratch = pids;
-                        return oid;
+                        return *oid;
                     }
                 }
                 self.tuple_overflow.push((th, id));
@@ -819,12 +806,60 @@ impl<'a> MemoPolicy<'a> {
                 slot.insert(id);
             }
         }
-        self.class_pids.extend_from_slice(&pids);
-        let (fp, quiet) = self.fp_of_pids(&pids);
+        self.class_pids.extend_from_slice(pids);
+        let (fp, quiet) = fp_quiet.unwrap_or_else(|| self.fp_of_pids(pids));
         self.class_fps.push(fp);
         self.class_quiet.push(quiet);
-        self.pid_scratch = pids;
         id
+    }
+
+    /// Merge `other`'s class table into this one: afterwards this engine
+    /// holds exactly the union of both engines' posture classes, and its
+    /// memo statistics are the sum of both. `other` must evaluate the
+    /// same policy. Slot postures are matched by value (tens per slot),
+    /// then each of `other`'s class tuples is re-interned with its
+    /// cached fingerprint and quiet flag — no posture vector is built.
+    /// The rule-mask memo is not merged: a rule set only `other` saw is
+    /// still resolved cold here, to the same class id.
+    pub fn absorb(&mut self, other: &MemoPolicy<'_>) {
+        assert!(std::ptr::eq(self.policy, other.policy), "absorb across policies");
+        let remap: Vec<Vec<u32>> = {
+            let mut ours = self.slot_postures.borrow_mut();
+            let others = other.slot_postures.borrow();
+            ours.iter_mut()
+                .zip(others.iter())
+                .map(|(mine, theirs)| theirs.iter().map(|p| slot_pid(mine, p.clone())).collect())
+                .collect()
+        };
+        let stride = self.resolved_slots.len();
+        let mut pids = Vec::with_capacity(stride);
+        for id in 0..other.class_count() {
+            let tuple = &other.class_pids[id * stride..id * stride + stride];
+            pids.clear();
+            pids.extend(
+                tuple
+                    .iter()
+                    .zip(&self.resolved_slots)
+                    .map(|(&pid, &rslot)| remap[rslot][pid as usize]),
+            );
+            self.intern_pids(&pids, Some((other.class_fps[id], other.class_quiet[id])));
+        }
+        self.lookups += other.lookups;
+        self.hits += other.hits;
+    }
+}
+
+/// The id of `p` in one slot's interned postures, appending it on first
+/// sighting. Dedup by value: two sub-masks (or two engines) with the
+/// same final posture share one id, so id-tuple equality is exactly
+/// posture-vector equality.
+fn slot_pid(postures: &mut Vec<crate::posture::Posture>, p: crate::posture::Posture) -> u32 {
+    match postures.iter().position(|q| *q == p) {
+        Some(existing) => existing as u32,
+        None => {
+            postures.push(p);
+            (postures.len() - 1) as u32
+        }
     }
 }
 
@@ -935,6 +970,55 @@ mod tests {
         assert_eq!(lookups, policy.schema.size() as u64);
         assert!(hits > lookups / 2, "memo must absorb repeated rule sets: {hits}/{lookups}");
         assert!(memo.class_count() >= 2);
+    }
+
+    /// An engine that has evaluated every state with rank in `ranks`.
+    fn swept<'a>(policy: &'a FsmPolicy, ranks: std::ops::Range<u128>) -> MemoPolicy<'a> {
+        let mut memo = MemoPolicy::new(policy).unwrap();
+        for rank in ranks {
+            let p = memo.layout().from_rank(rank);
+            memo.class_of(p);
+        }
+        memo
+    }
+
+    fn classes_of(memo: &MemoPolicy<'_>) -> Vec<PostureVector> {
+        (0..memo.class_count() as u32).map(|id| memo.class(id)).collect()
+    }
+
+    fn class_digest(memo: &MemoPolicy<'_>) -> u64 {
+        (0..memo.class_count() as u32).map(|id| memo.class_fingerprint(id)).fold(0, |a, b| a ^ b)
+    }
+
+    #[test]
+    fn absorb_is_exact() {
+        let policy = mixed_policy();
+        let size = policy.schema.size();
+        let whole = swept(&policy, 0..size);
+        // Two overlapping halves: the middle third is swept by both.
+        let mut low = swept(&policy, 0..size * 2 / 3);
+        let high = swept(&policy, size / 3..size);
+        low.absorb(&high);
+        assert_eq!(low.class_count(), whole.class_count());
+        assert_eq!(class_digest(&low), class_digest(&whole));
+        let (merged, reference) = (classes_of(&low), classes_of(&whole));
+        for v in &merged {
+            assert!(reference.contains(v), "absorb invented a class: {v:?}");
+        }
+        for v in &reference {
+            assert!(merged.contains(v), "absorb lost a class: {v:?}");
+        }
+        for id in 0..low.class_count() as u32 {
+            assert_eq!(low.is_quiet(id), low.class(id).by_device.is_empty());
+        }
+
+        // Absorbing an engine that saw exactly the same states adds
+        // nothing but its memo statistics.
+        let mut again = swept(&policy, 0..size);
+        again.absorb(&whole);
+        assert_eq!(again.class_count(), whole.class_count());
+        assert_eq!(classes_of(&again), classes_of(&whole));
+        assert_eq!(again.stats().0, 2 * size as u64);
     }
 
     #[test]

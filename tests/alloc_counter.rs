@@ -125,6 +125,24 @@ fn world_construction_allocation_profile() {
     });
     assert_eq!(sweep, 0, "warm packed sweep must not allocate");
 
+    // 4b. The parallel sweep runs the same serial engine on one
+    // contiguous rank range per thread and merges the class tables by
+    // value, so its heap is the serial engine's split across threads
+    // plus a small merge — never a second copy of every class.
+    use iotsec_repro::iotpolicy::explore::explore_packed;
+
+    let policy = iotsec_bench::exp_policy::policy_for(10, 2);
+    let (serial_bytes, serial) = bytes_during(|| explore_packed(&policy, 1));
+    for threads in [2, 4] {
+        let (bytes, par) = bytes_during(|| explore_packed(&policy, threads));
+        assert_eq!(par.unwrap().digest(), serial.as_ref().unwrap().digest());
+        assert!(
+            bytes <= 2 * serial_bytes,
+            "parallel sweep at {threads} threads must request at most 2x the serial bytes \
+             ({bytes} B vs {serial_bytes} B)"
+        );
+    }
+
     // 5. The warm fleet tick (E20): once a fleet's intel epoch stops
     // moving, a whole round is memo replay — every home's outcome is a
     // `(home, epoch)` memo hit, the merge writes Copy outcomes and folds

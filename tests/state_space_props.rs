@@ -86,7 +86,7 @@ proptest! {
     fn prop_engines_agree_on_policy_family(
         n in 2u32..7,
         pairs in 0u32..3,
-        threads in 2usize..4,
+        threads in 2usize..9,
     ) {
         let policy = iotsec_bench::exp_policy::policy_for(n, pairs);
         let naive = explore_naive(&policy);
