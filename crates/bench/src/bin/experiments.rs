@@ -344,6 +344,19 @@ fn render_json(seed: u64, threads: usize, records: &[Record]) -> String {
     out
 }
 
+/// `flag`'s value as a positive integer; anything else (a missing value,
+/// a non-number or 0) exits 2 before any experiment runs.
+fn positive<T: std::str::FromStr + PartialOrd + Default>(flag: &str, v: Option<String>) -> T {
+    let v = v.unwrap_or_default();
+    match v.parse::<T>() {
+        Ok(n) if n > T::default() => n,
+        _ => {
+            eprintln!("{flag} needs a positive integer, got '{v}'");
+            std::process::exit(2);
+        }
+    }
+}
+
 fn main() {
     let mut json = false;
     let mut threads = 2usize;
@@ -354,27 +367,9 @@ fn main() {
         match arg.as_str() {
             "--json" => json = true,
             "--trace" => ids.push("trace".to_string()),
-            "--threads" => {
-                let v = args.next().unwrap_or_default();
-                threads = v.parse().unwrap_or_else(|_| {
-                    eprintln!("--threads needs a positive integer, got '{v}'");
-                    std::process::exit(2);
-                });
-            }
-            "--homes" => {
-                let v = args.next().unwrap_or_default();
-                fleet_cfg.homes = Some(v.parse().unwrap_or_else(|_| {
-                    eprintln!("--homes needs a positive integer, got '{v}'");
-                    std::process::exit(2);
-                }));
-            }
-            "--rounds" => {
-                let v = args.next().unwrap_or_default();
-                fleet_cfg.rounds = Some(v.parse().unwrap_or_else(|_| {
-                    eprintln!("--rounds needs a positive integer, got '{v}'");
-                    std::process::exit(2);
-                }));
-            }
+            "--threads" => threads = positive("--threads", args.next()),
+            "--homes" => fleet_cfg.homes = Some(positive("--homes", args.next())),
+            "--rounds" => fleet_cfg.rounds = Some(positive("--rounds", args.next())),
             _ => ids.push(arg),
         }
     }

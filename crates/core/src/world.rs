@@ -18,12 +18,11 @@ use iotctl::failover::ReplicatedController;
 use iotctl::hier::{HierarchicalController, Partitioning};
 use iotctl::safety::{self, DeviceFacts, SafetyMonitor};
 use iotdev::attacker::{AttackPlan, AttackStep, Attacker, AttackerEmit};
-use iotdev::classes::{DeviceLogic, PlugLoad};
-use iotdev::device::{AdminCreds, DeviceClass, DeviceId, DeviceOutput, IoTDevice, OutMessage};
+use iotdev::classes::DeviceLogic;
+use iotdev::device::{AdminCreds, DeviceId, DeviceOutput, IoTDevice, OutMessage};
 use iotdev::env::{EnvVar, Environment};
 use iotdev::events::SecurityEvent;
 use iotdev::proto::AppMessage;
-use iotdev::registry::Sku;
 use iotdev::vuln::Vulnerability;
 use iotlearn::signature::{AttackSignature, Matcher, Severity};
 use iotnet::addr::{EndpointId, Ipv4Addr, NodeId, SwitchId};
@@ -35,6 +34,7 @@ use iotnet::packet::{Packet, TcpFlags, TransportHeader};
 use iotnet::time::{SimDuration, SimTime};
 use iotnet::topology::TopologyBuilder;
 use iotpolicy::compile::PolicyCompiler;
+use iotpolicy::policy::FsmPolicy;
 use iotpolicy::posture::Posture;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -267,10 +267,11 @@ pub struct World {
     resident: Option<Box<ResidentBind>>,
 }
 
-/// Everything a resident world (E26) needs to take an intel delta and a
-/// rebind without re-reading its deployment template: the per-device
-/// signature bases and policy-compile inputs captured at build time,
-/// plus the intel epoch currently installed.
+/// What a resident world (E26) keeps beside its deployment template to
+/// take an intel delta and a rebind: the per-device signature bases
+/// and standing-IDS memberships captured at build time, plus the intel
+/// epoch currently installed. Everything else is read from the template
+/// the world was built from.
 struct ResidentBind {
     /// Intel epoch currently installed on this world.
     epoch: u32,
@@ -292,16 +293,6 @@ struct ResidentBind {
     /// recompile; a same-membership signature change only repatches the
     /// device's ruleset.
     matched: Vec<bool>,
-    // Policy-recompile inputs, captured from the template verbatim.
-    classes: Vec<DeviceClass>,
-    vulns: Vec<Vec<Vulnerability>>,
-    skus: Vec<Sku>,
-    gates: Vec<(DeviceId, EnvVar, &'static str)>,
-    protect_pairs: Vec<(DeviceId, DeviceId)>,
-    // Rebind inputs.
-    loads: Vec<Option<PlugLoad>>,
-    pre_stolen_keys: Vec<u64>,
-    site: crate::deployment::Site,
 }
 
 impl ResidentBind {
@@ -344,21 +335,48 @@ impl ResidentBind {
             .zip(extra.iter())
             .map(|(&p, e): (&usize, &Vec<AttackSignature>)| p > 0 || !e.is_empty())
             .collect();
-        ResidentBind {
-            epoch,
-            intel: Arc::clone(intel),
-            base,
-            prefix,
-            extra,
-            matched,
-            classes: template.devices.iter().map(|s| s.class).collect(),
-            vulns: template.devices.iter().map(|s| s.vulns.clone()).collect(),
-            skus: template.devices.iter().map(|s| s.sku.clone()).collect(),
-            gates: template.gates.clone(),
-            protect_pairs: template.protect_pairs.clone(),
-            loads: template.devices.iter().map(|s| s.load).collect(),
-            pre_stolen_keys: template.pre_stolen_keys.clone(),
-            site: template.site,
+        ResidentBind { epoch, intel: Arc::clone(intel), base, prefix, extra, matched }
+    }
+}
+
+/// Compile a deployment's controller policy; `matched(i)` says whether
+/// device `i` has a matching repository signature and so gets a
+/// standing IDS. The one compile path for cold builds and resident
+/// recompiles, so both produce the same policy rule for rule.
+fn compile_policy(deployment: &Deployment, matched: impl Fn(usize) -> bool) -> FsmPolicy {
+    let mut compiler = PolicyCompiler::new();
+    for (i, setup) in deployment.devices.iter().enumerate() {
+        compiler.device(DeviceId(i as u32), setup.class, &setup.vulns);
+        if matched(i) {
+            compiler.rule(
+                iotpolicy::policy::PolicyRule::new(
+                    iotpolicy::compile::priority::MITIGATION,
+                    iotpolicy::policy::StatePattern::any(),
+                    DeviceId(i as u32),
+                    Posture::of(iotpolicy::posture::SecurityModule::Ids { ruleset: 1 }),
+                )
+                .with_origin(&format!("repo:{}", setup.sku)),
+            );
+        }
+    }
+    for var in EnvVar::ALL {
+        compiler.env(var);
+    }
+    for (device, var, value) in &deployment.gates {
+        compiler.gate_actuation(*device, *var, value);
+    }
+    for (watched, protected) in &deployment.protect_pairs {
+        compiler.protect_on_suspicion(*watched, *protected);
+    }
+    compiler.build()
+}
+
+/// The µmbox cluster a deployment site provides.
+fn cluster_for(site: crate::deployment::Site) -> Cluster {
+    match site {
+        crate::deployment::Site::Home => Cluster::iot_router(),
+        crate::deployment::Site::Enterprise { .. } => {
+            Cluster::enterprise(4, 8192, umbox::resource::PlacementPolicy::LeastLoaded)
         }
     }
 }
@@ -539,11 +557,13 @@ impl World {
     /// device's standing-IDS membership flipped. Content-identical
     /// snapshots advance the epoch and touch nothing else.
     ///
-    /// Must be called between runs (before [`World::rebind_home`]); the
-    /// next rebind launches chains against the patched rulesets, so the
+    /// `template` must be the deployment the world was built from. Must
+    /// be called between runs (before [`World::rebind_home`]); the next
+    /// rebind launches chains against the patched rulesets, so the
     /// patched world is byte-identical to a cold build at the new epoch.
     pub fn apply_intel_delta(
         &mut self,
+        template: &Deployment,
         epoch: u32,
         intel: &Arc<[AttackSignature]>,
     ) -> DeltaInstall {
@@ -560,7 +580,8 @@ impl World {
         let mut membership_changed = false;
         if self.cfg.is_some() {
             for i in 0..self.devices.len() {
-                let matching = || intel.iter().filter(|s| s.sku == bind.skus[i]);
+                let sku = &template.devices[i].sku;
+                let matching = || intel.iter().filter(|s| s.sku == *sku);
                 if matching().eq(bind.extra[i].iter()) {
                     out.devices_kept += 1;
                     continue;
@@ -582,36 +603,8 @@ impl World {
                 out.devices_patched += 1;
             }
             if membership_changed {
-                // Recompile the policy exactly as the builder does, from
-                // the captured template inputs and the updated
-                // membership vector. Rule-for-rule identical output
-                // keeps the oracle's byte-equivalence intact.
-                let mut compiler = PolicyCompiler::new();
-                for i in 0..self.devices.len() {
-                    compiler.device(DeviceId(i as u32), bind.classes[i], &bind.vulns[i]);
-                    if bind.matched[i] {
-                        compiler.rule(
-                            iotpolicy::policy::PolicyRule::new(
-                                iotpolicy::compile::priority::MITIGATION,
-                                iotpolicy::policy::StatePattern::any(),
-                                DeviceId(i as u32),
-                                Posture::of(iotpolicy::posture::SecurityModule::Ids { ruleset: 1 }),
-                            )
-                            .with_origin(&format!("repo:{}", bind.skus[i])),
-                        );
-                    }
-                }
-                for var in EnvVar::ALL {
-                    compiler.env(var);
-                }
-                for (device, var, value) in &bind.gates {
-                    compiler.gate_actuation(*device, *var, value);
-                }
-                for (watched, protected) in &bind.protect_pairs {
-                    compiler.protect_on_suspicion(*watched, *protected);
-                }
                 if let Some(ControlPlane::Flat(c)) = &mut self.control {
-                    c.policy = compiler.build();
+                    c.policy = compile_policy(template, |i| bind.matched[i]);
                 }
                 out.recompiled = true;
             }
@@ -625,15 +618,17 @@ impl World {
     /// buffers keep their capacity), reseed the traffic RNG, and replay
     /// the initial reconciliation — after which the world is observably
     /// identical to a cold [`World::new_home_recycled`] build at the
-    /// currently installed intel epoch.
-    pub fn rebind_home(&mut self, seed: u64) {
-        let bind = self.resident.take().expect("rebind_home needs a resident world");
+    /// currently installed intel epoch. `template` must be the deployment
+    /// the world was built from.
+    pub fn rebind_home(&mut self, template: &Deployment, seed: u64) {
+        assert!(self.resident.is_some(), "rebind_home needs a resident world");
         self.clock = SimTime::ZERO;
         self.net.reset_resident(seed);
         self.env = Environment::new();
         for (i, dev) in self.devices.iter_mut().enumerate() {
             dev.reset_runtime();
-            if let (Some(load), DeviceLogic::SmartPlug(plug)) = (bind.loads[i], &mut dev.logic) {
+            let load = template.devices[i].load;
+            if let (Some(load), DeviceLogic::SmartPlug(plug)) = (load, &mut dev.logic) {
                 plug.load = load;
             }
         }
@@ -642,7 +637,7 @@ impl World {
         }
         if let Some((attacker, _)) = &mut self.attacker {
             attacker.reset_runtime();
-            for key in &bind.pre_stolen_keys {
+            for key in &template.pre_stolen_keys {
                 attacker.learn_key(*key);
             }
         }
@@ -654,12 +649,7 @@ impl World {
         }
         if let Some(cfg) = &self.cfg {
             self.lifecycle = Some(LifecycleManager::new(cfg.pool));
-            self.cluster = Some(match bind.site {
-                crate::deployment::Site::Home => Cluster::iot_router(),
-                crate::deployment::Site::Enterprise { .. } => {
-                    Cluster::enterprise(4, 8192, umbox::resource::PlacementPolicy::LeastLoaded)
-                }
-            });
+            self.cluster = Some(cluster_for(template.site));
         }
         self.chains.clear();
         self.pending_steers.clear();
@@ -681,10 +671,12 @@ impl World {
         self.delivery_scratch.clear();
         self.env_scratch.clear();
         self.facts_scratch.clear();
-        self.resident = Some(bind);
+        self.reconcile_initial();
+    }
 
-        // Replay the initial reconciliation exactly as the builder does:
-        // standing mitigations install before any traffic flows.
+    /// Initial reconciliation: standing mitigations install before any
+    /// traffic flows (on a build and on every resident rebind alike).
+    fn reconcile_initial(&mut self) {
         if let Some(mut control) = self.control.take() {
             let directives = control.reconcile(SimTime::ZERO);
             self.control = Some(control);
@@ -864,38 +856,12 @@ impl World {
                 }
             }
             Defense::IoTSec(config) => {
-                let mut compiler = PolicyCompiler::new();
-                for (i, setup) in deployment.devices.iter().enumerate() {
-                    compiler.device(DeviceId(i as u32), setup.class, &setup.vulns);
-                    // Subscribed repository signatures for this SKU put a
-                    // standing IDS in front of the device.
-                    if deployment
-                        .subscribed_signatures
-                        .iter()
-                        .chain(extra.iter())
-                        .any(|s| s.sku == setup.sku)
-                    {
-                        compiler.rule(
-                            iotpolicy::policy::PolicyRule::new(
-                                iotpolicy::compile::priority::MITIGATION,
-                                iotpolicy::policy::StatePattern::any(),
-                                DeviceId(i as u32),
-                                Posture::of(iotpolicy::posture::SecurityModule::Ids { ruleset: 1 }),
-                            )
-                            .with_origin(&format!("repo:{}", setup.sku)),
-                        );
-                    }
-                }
-                for var in EnvVar::ALL {
-                    compiler.env(var);
-                }
-                for (device, var, value) in &deployment.gates {
-                    compiler.gate_actuation(*device, *var, value);
-                }
-                for (watched, protected) in &deployment.protect_pairs {
-                    compiler.protect_on_suspicion(*watched, *protected);
-                }
-                let policy = compiler.build();
+                // Subscribed repository signatures for a device's SKU put
+                // a standing IDS in front of it.
+                let policy = compile_policy(deployment, |i| {
+                    let sku = &deployment.devices[i].sku;
+                    deployment.subscribed_signatures.iter().chain(extra).any(|s| s.sku == *sku)
+                });
                 let ctl_config = ControllerConfig {
                     view_propagation: config.view_propagation,
                     ..ControllerConfig::default()
@@ -929,12 +895,7 @@ impl World {
                     lc.watchdog_delay = chaos.watchdog_delay;
                 }
                 lifecycle = Some(lc);
-                cluster = Some(match deployment.site {
-                    crate::deployment::Site::Home => Cluster::iot_router(),
-                    crate::deployment::Site::Enterprise { .. } => {
-                        Cluster::enterprise(4, 8192, umbox::resource::PlacementPolicy::LeastLoaded)
-                    }
-                });
+                cluster = Some(cluster_for(deployment.site));
                 cfg = Some(*config);
             }
         }
@@ -1020,18 +981,7 @@ impl World {
             world.breakers = scfg.breaker.enabled.then(|| BreakerBank::new(scfg.breaker));
         }
 
-        // Initial reconciliation installs standing mitigations before any
-        // traffic flows.
-        if let Some(mut control) = world.control.take() {
-            let directives = control.reconcile(SimTime::ZERO);
-            world.control = Some(control);
-            for d in directives {
-                let (device, kind) = (d.device().0, directive_kind(&d));
-                world.tracer.emit(0, TraceEvent::DirectiveIssued { device, kind });
-                world.tracer.emit(0, TraceEvent::DirectiveDelivered { device, kind });
-                world.execute_directive(d, SimTime::ZERO);
-            }
-        }
+        world.reconcile_initial();
         world
     }
 
@@ -2100,11 +2050,11 @@ mod tests {
         for (i, (seed, epoch, intel)) in legs.iter().enumerate() {
             if i > 0 {
                 if resident.resident_epoch() != Some(*epoch) {
-                    let d = resident.apply_intel_delta(*epoch, intel);
+                    let d = resident.apply_intel_delta(&template, *epoch, intel);
                     assert!(!d.noop);
                     assert!(d.recompiled, "camera membership flips at epoch 1");
                 }
-                resident.rebind_home(*seed);
+                resident.rebind_home(&template, *seed);
             }
             let got = run_fingerprint(&mut resident);
             let mut cold_scrap = WorldScrap::default();
@@ -2114,7 +2064,7 @@ mod tests {
             assert_eq!(got, want, "leg {i} (seed {seed}, epoch {epoch}) diverged");
         }
         // A same-content epoch advance is a pure no-op install.
-        let d = resident.apply_intel_delta(2, &armed);
+        let d = resident.apply_intel_delta(&template, 2, &armed);
         assert!(d.noop);
         assert_eq!(resident.resident_epoch(), Some(2));
     }

@@ -6,10 +6,11 @@
 //! is a pure function of `(seed, round, neighborhood, salt)` rolled on
 //! the serial coordinator, so a chaos-on run is byte-identical across
 //! `--threads {1,2,4}` and reruns for free — workers never see the
-//! chaos at all. `None` chaos is inert by construction: the fleet takes
-//! the exact branch structure it takes today and emits the exact same
-//! trace, which is what keeps `BENCH_E20.json` and every existing
-//! golden byte-for-byte unchanged.
+//! chaos at all. A fleet without chaos runs the same barrier under
+//! [`FleetChaos::none`], whose horizon of 0 keeps every fault from
+//! firing, and leaves the chaos-only trace events out — which is what
+//! keeps `BENCH_E20.json` and every existing golden byte-for-byte
+//! unchanged.
 //!
 //! The fault vocabulary matches the ISSUE's threat model for the
 //! home → neighborhood → region hierarchy:
@@ -155,6 +156,12 @@ impl FleetChaos {
             horizon: u32::MAX,
             policy: RecoveryPolicy::standard(),
         }
+    }
+
+    /// The calm schedule: a horizon of 0, so no fault ever fires. A
+    /// fleet built without chaos runs its barrier under this.
+    pub fn none() -> FleetChaos {
+        FleetChaos::new(0).with_horizon(0)
     }
 
     /// Same schedule, different recovery policy (the weakened arms).

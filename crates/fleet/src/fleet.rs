@@ -3,13 +3,13 @@
 //!
 //! A fleet round has three strictly separated parts:
 //!
-//! 1. **Execute** (parallel): every home runs — or is served from the
-//!    memo — against the intel epoch installed at the last barrier.
+//! 1. **Execute** (parallel): every home runs — or is served from its
+//!    outcome slot — against the intel epoch its ledger entry holds.
 //!    One [`trace::par_ordered`] call maps over worker indices; worker
 //!    `w` runs chunks `w, w + N, …` with its own recycled heap and
-//!    resident pool. Workers touch only `Sync` state (the scenario, the
-//!    memo shards, the outcome slots, two atomic counters) and each
-//!    home is owned by exactly one chunk, so slot writes never race.
+//!    resident world. Workers touch only `Sync` state (the scenario,
+//!    the outcome slots, two atomic counters) and each home is owned by
+//!    exactly one chunk, so slot writes never race.
 //! 2. **Merge** (serial, coordinator): outcomes are folded into the
 //!    chained fleet digest in home order, totals accumulate, and fresh
 //!    discoveries flow into the discovering home's neighborhood buffer.
@@ -27,36 +27,40 @@
 //! byte-identical at any thread count, which `experiments e20` and
 //! `tests/fleet_props.rs` enforce.
 //!
-//! **Chaos (E25).** A fleet built with [`Fleet::with_chaos`] runs the
-//! same three parts under a seeded [`crate::chaos::FleetChaos`]
-//! schedule: flushes can be dropped/duplicated/reordered, aggregators
-//! crash and respawn from the checkpointed region log, neighborhoods
-//! partition from the region for whole rounds, and install waves slip.
-//! Every fault decision is rolled serially at the barrier as a pure
-//! function of `(chaos seed, round, neighborhood)`, so chaos-on runs
-//! stay byte-identical at any thread count. Under chaos homes diverge
-//! in installed epoch, so execution keys each home's memo lookup and
-//! intel snapshot by *its* ledger epoch; chaos-off every home shares
-//! one epoch and the path reduces exactly to the paragraph above —
-//! same digest bytes, same trace, same `BENCH_E20.json`.
+//! **The slot is the memo.** Each home's slot keeps its last outcome
+//! together with the epoch it was computed at; a home whose ledger
+//! epoch still equals the slot's epoch is a hit and runs nothing.
+//! Ledger epochs only rise, so once a home has moved past epoch `e`
+//! the pair `(home, e)` is never asked for again and the latest entry
+//! is the only one that can hit: memo memory is one entry per home,
+//! however many epochs pass.
+//!
+//! **One barrier, with or without chaos (E25).** The barrier always
+//! runs under a [`crate::chaos::FleetChaos`] schedule: the one given to
+//! [`Fleet::with_chaos`], or else [`FleetChaos::none`], under which no
+//! fault ever fires. Flushes can then be dropped/duplicated/reordered,
+//! aggregators crash and respawn from the checkpointed region log,
+//! neighborhoods partition from the region for whole rounds, and
+//! install waves slip; homes diverge in installed epoch, so execution
+//! serves each home the intel snapshot of *its* ledger epoch. Every
+//! fault decision is rolled serially at the barrier as a pure function
+//! of `(chaos seed, round, neighborhood)`. Under the calm schedule every
+//! wave lands at once, every home shares one epoch, and the trace
+//! omits the chaos-only events — same digest bytes, same trace, same
+//! `BENCH_E20.json` as a fleet that never heard of chaos.
 
 use crate::chaos::FleetChaos;
 use iotctl::aggregate::{Directory, InstallLedger, NeighborhoodBuffer, RegionIntel, RegionLog};
 use iotlearn::AttackSignature;
 use iotpolicy::intern::Interner;
 use iotsec::world::WorldScrap;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use trace::digest::Fnv64;
 use trace::{par_ordered, TraceEvent, Tracer};
 
-/// Number of memo shards (the E19 pattern: enough to keep lock
-/// contention negligible at any worker count, few enough to stay cheap).
-const MEMO_SHARDS: usize = 64;
-
 /// The `Copy` outcome of one home for one round. Crossing a thread
-/// boundary and sitting in the memo must both be allocation-free, so
+/// boundary and sitting in its slot must both be allocation-free, so
 /// this is fixed-size by construction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct HomeOutcome {
@@ -117,18 +121,19 @@ impl ResidentStats {
     }
 }
 
-/// One worker's resident pool: its persistent world slot plus the
-/// stats it accumulates. Behind a `Mutex` in the fleet; each round's
-/// static home→worker assignment guarantees exactly one worker touches
-/// a pool at a time.
-struct ResidentPool<R> {
+/// One worker's state: its recycled world heap, its resident world
+/// slot and the stats it accumulates. Behind a `Mutex` in the fleet;
+/// each round's static home→worker assignment guarantees exactly one
+/// thread touches a worker at a time.
+struct Worker<R> {
+    scrap: WorldScrap,
     slot: Option<R>,
     stats: ResidentStats,
 }
 
-impl<R> Default for ResidentPool<R> {
-    fn default() -> ResidentPool<R> {
-        ResidentPool { slot: None, stats: ResidentStats::default() }
+impl<R> Default for Worker<R> {
+    fn default() -> Worker<R> {
+        Worker { scrap: WorldScrap::default(), slot: None, stats: ResidentStats::default() }
     }
 }
 
@@ -303,17 +308,6 @@ pub fn home_seed(fleet_seed: u64, home: u32) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Memo key: exact `(home, epoch)` packed into a `u64` — no hashing on
-/// the key itself, so distinct homes can never alias.
-fn memo_key(home: u32, epoch: u32) -> u64 {
-    (u64::from(home) << 32) | u64::from(epoch)
-}
-
-/// Shard selector: multiply-shift over the key's top bits.
-fn memo_shard(key: u64) -> usize {
-    (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58) as usize
-}
-
 /// A pending flush retry: the dropped batch, how many times it has been
 /// attempted, and the round it next pumps (bounded exponential backoff,
 /// the E15 `DeliveryChannel` discipline lifted to batches).
@@ -368,11 +362,10 @@ pub struct Fleet<S: HomeWorld> {
     dir: Directory,
     /// Precomputed `[start, end)` home chunks, reused every round.
     chunks: Vec<(u32, u32)>,
-    /// One outcome slot per home; writing a `Copy` value, never racing
-    /// (each home belongs to exactly one chunk).
-    slots: Vec<Mutex<Option<HomeOutcome>>>,
-    /// The E19-style sharded memo: `(home, epoch) → outcome`.
-    memo: Vec<Mutex<HashMap<u64, HomeOutcome>>>,
+    /// One outcome slot per home, holding the home's latest outcome and
+    /// the epoch it was computed at — the memo (see the module docs).
+    /// Each home belongs to exactly one chunk, so writes never race.
+    slots: Vec<Mutex<Option<(u32, HomeOutcome)>>>,
     memo_hits: AtomicU64,
     memo_misses: AtomicU64,
     /// Per-neighborhood upward discovery buffers.
@@ -389,21 +382,21 @@ pub struct Fleet<S: HomeWorld> {
     /// epoch `e`; index 0 is the empty pre-discovery snapshot). Epochs
     /// are dense, so this grows by one per absorbing round. Under chaos
     /// homes sit at different epochs and execution serves each from its
-    /// own entry; chaos-off only the top entry is ever read. Entries
+    /// own entry; without faults only the top entry is ever read. Entries
     /// below the installed-epoch floor are GC'd to `None` (E26) — no
     /// home can ever read them again, and dropping the `Arc` lets the
     /// interner retire the allocation.
     snapshots: Vec<Option<Arc<[AttackSignature]>>>,
-    /// Fleet-wide installed-epoch floor (`ledger.min_epoch()`; chaos-off
-    /// every home is equal, so it is also every home's epoch).
+    /// Fleet-wide installed-epoch floor (`ledger.min_epoch()`; without
+    /// faults every home is equal, so it is also every home's epoch).
     installed_epoch: u32,
     /// Which homes have already published their discovery (so warm
     /// rounds stay allocation-free instead of re-publishing). An
     /// aggregator crash clears the flags of the homes whose buffered
     /// reports it lost, and they re-publish from memoized outcomes.
     published: Vec<bool>,
-    /// The chaos schedule; `None` (the default) is byte-for-byte the
-    /// pre-E25 fleet.
+    /// The chaos schedule; `None` (the default) runs the barrier under
+    /// [`FleetChaos::none`] and leaves the chaos-only trace events out.
     chaos: Option<FleetChaos>,
     /// The region's checkpointed absorb log (respawn-by-replay source).
     region_log: RegionLog<AttackSignature>,
@@ -415,13 +408,11 @@ pub struct Fleet<S: HomeWorld> {
     /// Published-but-not-yet-converged discoveries (degraded-mode
     /// accounting; chaos-on only).
     outstanding: Vec<Outstanding>,
-    /// Per-worker recycled world heaps (index = worker, slot 0 serial).
-    scraps: Vec<Mutex<WorldScrap>>,
+    /// Per-worker state (index = worker, 0 serial).
+    workers: Vec<Mutex<Worker<S::Resident>>>,
     /// Whether rounds run in resident mode (E26): persistent per-worker
     /// worlds, home-affine static chunk assignment, delta installs.
     resident_on: bool,
-    /// Per-worker resident pools (index = worker, slot 0 serial).
-    residents: Vec<Mutex<ResidentPool<S::Resident>>>,
     /// Out-of-band intel queued by [`Fleet::inject_intel`]; drained into
     /// the next barrier's upward flow (bench/test epoch-churn driver).
     feed: Vec<AttackSignature>,
@@ -480,7 +471,6 @@ impl<S: HomeWorld> Fleet<S> {
             dir,
             chunks,
             slots: (0..homes).map(|_| Mutex::new(None)).collect(),
-            memo: (0..MEMO_SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
             memo_hits: AtomicU64::new(0),
             memo_misses: AtomicU64::new(0),
             buffers: (0..dir.neighborhoods()).map(|_| NeighborhoodBuffer::new()).collect(),
@@ -496,11 +486,8 @@ impl<S: HomeWorld> Fleet<S> {
             aggs: (0..dir.neighborhoods()).map(|_| AggState::default()).collect(),
             late_dups: Vec::new(),
             outstanding: Vec::new(),
-            scraps: (0..cfg.threads.max(1)).map(|_| Mutex::new(WorldScrap::default())).collect(),
+            workers: (0..cfg.threads.max(1)).map(|_| Mutex::new(Worker::default())).collect(),
             resident_on: false,
-            residents: (0..cfg.threads.max(1))
-                .map(|_| Mutex::new(ResidentPool::default()))
-                .collect(),
             feed: Vec::new(),
             digest: Fnv64::new(),
             tracer,
@@ -520,7 +507,7 @@ impl<S: HomeWorld> Fleet<S> {
     /// Run one fleet round: execute every home, merge in home order,
     /// propagate discoveries through the aggregator hierarchy.
     ///
-    /// A *quiesced* round (no new intel, every home memoized) performs
+    /// A *quiesced* round (no new intel, every slot a hit) performs
     /// zero heap allocations on the serial path — the warm-fleet
     /// section of `tests/alloc_counter.rs` pins this.
     pub fn round(&mut self) -> RoundSummary {
@@ -533,43 +520,41 @@ impl<S: HomeWorld> Fleet<S> {
         //
         // Each home runs against the epoch *it* has installed (per the
         // ledger): under chaos homes diverge while waves are lost or
-        // delayed; chaos-off every home sits at `installed_epoch` and
-        // this is exactly the single-epoch path. Chunks are assigned
+        // delayed; without faults every home sits at `installed_epoch`.
+        // A slot computed at that epoch is a hit. Chunks are assigned
         // statically — chunk `c` always runs as worker `c % nworkers`,
-        // with that worker's `WorldScrap` and resident pool — so each
+        // with that worker's scrap and resident world — so each
         // resident world only ever serves "its" homes, no slot crosses a
         // thread mid-round, and the per-worker counters are a pure
         // function of the fleet shape.
         {
             let scenario = &self.scenario;
-            let memo = &self.memo;
             let slots = &self.slots;
             let snapshots: &[Option<Arc<[AttackSignature]>>] = &self.snapshots;
             let ledger = &self.ledger;
-            let (scraps, residents, chunks) = (&self.scraps, &self.residents, &self.chunks);
+            let (workers, chunks) = (&self.workers, &self.chunks);
             let (hits, misses) = (&self.memo_hits, &self.memo_misses);
             let (seed, resident_on) = (self.cfg.seed, self.resident_on);
-            let exec = |home: u32, scrap: &mut WorldScrap, pool: &mut ResidentPool<S::Resident>| {
+            let exec = |home: u32, w: &mut Worker<S::Resident>| {
                 let home_epoch = ledger.epoch_of(home);
-                let key = memo_key(home, home_epoch);
-                let shard = &memo[memo_shard(key)];
-                if let Some(out) = shard.lock().unwrap().get(&key) {
+                let mut entry =
+                    slots[home as usize].lock().expect("no worker panics holding a slot");
+                if matches!(*entry, Some((e, _)) if e == home_epoch) {
                     hits.fetch_add(1, Ordering::Relaxed);
-                    return *out;
+                    return;
                 }
                 let intel = snapshots[home_epoch as usize]
                     .as_ref()
                     .expect("a home's installed epoch never drops below the GC floor");
                 let seed = home_seed(seed, home);
+                let Worker { scrap, slot, stats } = w;
                 let out = if resident_on {
-                    let (slot, stats) = (&mut pool.slot, &mut pool.stats);
                     scenario.run_home_resident(home, seed, home_epoch, intel, slot, scrap, stats)
                 } else {
                     scenario.run_home_recycled(home, seed, intel, scrap)
                 };
-                shard.lock().unwrap().insert(key, out);
+                *entry = Some((home_epoch, out));
                 misses.fetch_add(1, Ordering::Relaxed);
-                out
             };
             let nworkers = self.cfg.threads.max(1);
             par_ordered(
@@ -577,11 +562,10 @@ impl<S: HomeWorld> Fleet<S> {
                 nworkers,
                 |_| (),
                 |_, me| {
-                    let scrap = &mut *scraps[me].lock().unwrap();
-                    let pool = &mut *residents[me].lock().unwrap();
+                    let w = &mut *workers[me].lock().expect("no worker panics holding its state");
                     for &(start, end) in chunks.iter().skip(me).step_by(nworkers) {
                         for home in start..end {
-                            *slots[home as usize].lock().unwrap() = Some(exec(home, scrap, pool));
+                            exec(home, w);
                         }
                     }
                 },
@@ -593,7 +577,7 @@ impl<S: HomeWorld> Fleet<S> {
         self.digest.write_u32(epoch);
         let mut discoveries = 0u32;
         for home in 0..self.cfg.homes {
-            let out = self.slots[home as usize]
+            let (_, out) = self.slots[home as usize]
                 .lock()
                 .unwrap()
                 .expect("every home produces exactly one outcome per round");
@@ -633,11 +617,7 @@ impl<S: HomeWorld> Fleet<S> {
 
         // --- 3. barrier (serial, neighborhood order) --------------------
         let installs_before = self.ledger.installs();
-        if let Some(chaos) = self.chaos {
-            self.barrier_chaos(round, &chaos);
-        } else {
-            self.barrier_clean(round);
-        }
+        self.barrier(round, &self.chaos.unwrap_or_else(FleetChaos::none));
         self.digest.write_u32(self.installed_epoch);
         self.gc_intel();
 
@@ -652,54 +632,13 @@ impl<S: HomeWorld> Fleet<S> {
         }
     }
 
-    /// The chaos-off barrier: flush every buffer in neighborhood order,
-    /// absorb once, and on a new epoch intern the snapshot and wave
-    /// installs to every neighborhood — the exact pre-E25 branch
-    /// structure, emitting the exact pre-E25 events.
-    fn barrier_clean(&mut self, round: u32) {
-        let mut upward: Vec<AttackSignature> = std::mem::take(&mut self.feed);
-        for n in 0..self.dir.neighborhoods() {
-            let batch = self.buffers[n as usize].flush();
-            if !batch.is_empty() {
-                upward.extend(batch);
-            }
-        }
-        let novel = self.region.absorb_returning_novel(upward);
-        if !novel.is_empty() {
-            let new_epoch = self.region.epoch();
-            // Checkpoint the per-epoch delta into the region log — the
-            // delta stream resident installs and respawn-by-replay both
-            // read — on the clean path exactly as the chaos path does.
-            self.region_log.checkpoint(new_epoch, novel);
-            let snapshot = self.region.snapshot();
-            self.intel = self.interner.intern(&snapshot);
-            self.snapshots.push(Some(self.intel.clone()));
-            self.installed_epoch = new_epoch;
-            for n in 0..self.dir.neighborhoods() {
-                let range = self.dir.homes_of(n);
-                let advanced = self.ledger.install_batch(range.clone(), new_epoch);
-                if advanced > 0 {
-                    self.tracer.emit(
-                        u64::from(round),
-                        TraceEvent::FleetBatch { neighborhood: n, installs: advanced },
-                    );
-                    for home in range {
-                        self.tracer.emit(
-                            u64::from(round),
-                            TraceEvent::FleetInstall { home, epoch: new_epoch },
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    /// The chaos-on barrier: the same flush → absorb → wave sequence,
-    /// but every step faces the schedule's weather and is backed by the
-    /// corresponding recovery mechanism. Entirely serial; every fault
-    /// decision is a pure function of `(chaos seed, round,
-    /// neighborhood)`, so the whole round is thread-count invariant.
-    fn barrier_chaos(&mut self, round: u32, chaos: &FleetChaos) {
+    /// The barrier: flush → absorb → install waves, every step facing
+    /// the schedule's weather and backed by the corresponding recovery
+    /// mechanism. Entirely serial; every fault decision is a pure
+    /// function of `(chaos seed, round, neighborhood)`, so the whole
+    /// round is thread-count invariant. Under [`FleetChaos::none`] no
+    /// fault fires and every due wave reaches every home.
+    fn barrier(&mut self, round: u32, chaos: &FleetChaos) {
         let tr = u64::from(round);
         let policy = chaos.policy;
 
@@ -753,10 +692,11 @@ impl<S: HomeWorld> Fleet<S> {
                 // pure function is the recovery story, so outcomes (and
                 // thus digest and trace) are unchanged.
                 if self.resident_on {
-                    let wi = ni % self.residents.len();
-                    let mut pool = self.residents[wi].lock().unwrap();
-                    if pool.slot.take().is_some() {
-                        pool.stats.dropped += 1;
+                    let wi = ni % self.workers.len();
+                    let mut w =
+                        self.workers[wi].lock().expect("no worker panics holding its state");
+                    if w.slot.take().is_some() {
+                        w.stats.dropped += 1;
                     }
                 }
                 self.tracer
@@ -841,9 +781,11 @@ impl<S: HomeWorld> Fleet<S> {
         let absorbed = !novel.is_empty();
         if absorbed {
             let new_epoch = self.region.epoch();
-            for sig in &novel {
-                self.tracer
-                    .emit(tr, TraceEvent::FleetAbsorb { signature: sig.id, epoch: new_epoch });
+            if self.chaos.is_some() {
+                for sig in &novel {
+                    self.tracer
+                        .emit(tr, TraceEvent::FleetAbsorb { signature: sig.id, epoch: new_epoch });
+                }
             }
             for o in &mut self.outstanding {
                 if o.goal.is_none() && novel.iter().any(|s| s.id == o.signature) {
@@ -975,8 +917,8 @@ impl<S: HomeWorld> Fleet<S> {
     /// Aggregated resident-pool stats across all workers.
     pub fn resident_stats(&self) -> ResidentStats {
         let mut total = ResidentStats::default();
-        for pool in &self.residents {
-            total.merge(&pool.lock().unwrap().stats);
+        for w in &self.workers {
+            total.merge(&w.lock().expect("no worker panics holding its state").stats);
         }
         total
     }
@@ -1004,8 +946,8 @@ impl<S: HomeWorld> Fleet<S> {
         reg.counter("fleet.resident.devices_kept", rs.devices_kept);
         reg.counter("fleet.resident.dropped", rs.dropped);
         let (mut q_reused, mut q_cold, mut c_reused, mut c_cold) = (0u64, 0u64, 0u64, 0u64);
-        for scrap in &self.scraps {
-            let s = scrap.lock().unwrap();
+        for w in &self.workers {
+            let s = &w.lock().expect("no worker panics holding its state").scrap;
             q_reused += s.net.queue_reused;
             q_cold += s.net.queue_cold;
             c_reused += s.net.capture_reused;
@@ -1074,7 +1016,7 @@ impl<S: HomeWorld> Fleet<S> {
 
     /// Home `home`'s outcome from the most recent round.
     pub fn outcome(&self, home: u32) -> HomeOutcome {
-        self.slots[home as usize].lock().unwrap().expect("no round has run yet")
+        self.slots[home as usize].lock().unwrap().expect("no round has run yet").1
     }
 
     /// The currently installed interned intel snapshot. Every home
@@ -1267,6 +1209,31 @@ mod tests {
         assert_eq!(report.digest, clean_report.digest);
         assert_eq!(report.faults, 0);
         assert!(chaotic.converged());
+    }
+
+    /// The slot memo at divergent per-home epochs: a home runs exactly
+    /// when its installed epoch moved since its previous run, whatever
+    /// the other homes' epochs are.
+    #[test]
+    fn homes_execute_exactly_when_their_epoch_moved() {
+        let mut diverged = false;
+        for chaos_seed in 0..8u64 {
+            let (cfg, chaos) = (chaos_cfg(7), FleetChaos::new(chaos_seed));
+            let mut fleet =
+                Fleet::with_chaos(Synthetic { stride: 24 }, cfg, chaos, Tracer::disabled());
+            let mut last: Vec<Option<u32>> = vec![None; cfg.homes as usize];
+            for _ in 0..CHAOS_ROUNDS {
+                let now: Vec<Option<u32>> =
+                    (0..cfg.homes).map(|h| Some(fleet.installed_at(h))).collect();
+                let moved = now.iter().zip(&last).filter(|(n, l)| n != l).count() as u32;
+                let r = fleet.round();
+                assert_eq!(r.executed, moved, "chaos seed {chaos_seed}, round {}", r.round);
+                assert_eq!(r.executed + r.memo_hits, cfg.homes);
+                diverged |= 0 < moved && moved < cfg.homes;
+                last = now;
+            }
+        }
+        assert!(diverged, "no schedule left homes at different epochs");
     }
 
     /// The acceptance core: chaos-on runs are byte-identical across

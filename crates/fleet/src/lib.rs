@@ -7,8 +7,8 @@
 //!
 //! * [`fleet`] — the [`fleet::Fleet`] engine: homes sharded into chunks
 //!   assigned statically to worker threads (chunk `c` on worker
-//!   `c % N`, one [`trace::par_ordered`] call per round), a
-//!   64-shard memo keyed by `(home, intel epoch)` (the E19 pattern) so
+//!   `c % N`, one [`trace::par_ordered`] call per round), one outcome
+//!   slot per home tagged with the epoch it was computed at, so
 //!   quiesced rounds re-serve outcomes without rebuilding worlds, a
 //!   hierarchical home → neighborhood → region intel path with batched
 //!   directive installs, and a chained FNV digest merged in home order
@@ -24,7 +24,8 @@
 //!   flushes, crashes aggregators, partitions neighborhoods and delays
 //!   install waves, paired with a [`chaos::RecoveryPolicy`]
 //!   (bounded-backoff retries, rejoin reconciliation, degraded-mode
-//!   declaration). Inert when absent; deterministic when present.
+//!   declaration). A fleet without chaos runs the same barrier under
+//!   the calm [`chaos::FleetChaos::none`]; deterministic either way.
 //! * [`safety`] — [`safety::check_fleet_trace`]: the pure fleet-scale
 //!   trace checker (the E23 `check_trace` pattern) verifying epoch
 //!   monotonicity, no lost discoveries, bounded install staleness and

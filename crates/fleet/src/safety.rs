@@ -292,7 +292,7 @@ mod tests {
 
     #[test]
     fn chaos_off_trace_without_absorbs_is_judged_on_monotonicity_only() {
-        // The clean barrier emits installs but never fleet-absorb.
+        // A chaos-off fleet emits installs but never fleet-absorb.
         let events = vec![discovery(0, 7), install(0, 0, 1), install(0, 1, 1)];
         assert_eq!(check_fleet_trace(&events, &spec(2, 10)), vec![]);
     }

@@ -126,7 +126,7 @@ impl HomeWorld for FleetScenario {
             Some(res) => {
                 let w = res.get_mut();
                 if w.resident_epoch() != Some(epoch) {
-                    let d = w.apply_intel_delta(epoch, intel);
+                    let d = w.apply_intel_delta(&self.template, epoch, intel);
                     if d.noop {
                         stats.noop_installs += 1;
                     } else {
@@ -138,7 +138,7 @@ impl HomeWorld for FleetScenario {
                         stats.devices_kept += u64::from(d.devices_kept);
                     }
                 }
-                w.rebind_home(seed);
+                w.rebind_home(&self.template, seed);
                 stats.resident_runs += 1;
                 w.run_until_attack_done(self.horizon);
                 self.outcome_of(home, seed, w)

@@ -28,6 +28,7 @@ use crate::packed::{FxBuild, MemoPolicy, PackedLayout, PackedState};
 use crate::policy::FsmPolicy;
 use fixedbitset::FixedBitSet;
 use std::collections::{HashMap, HashSet};
+use trace::digest::fnv64;
 use trace::event::TraceEvent;
 use trace::par_ordered;
 use trace::tracer::Tracer;
@@ -39,16 +40,6 @@ pub const CHUNK: u128 = 1 << 14;
 /// bitset indexed by the word itself (2²⁸ bits = 32 MiB); wider spaces
 /// fall back to a hashed set.
 pub const DENSE_WORD_BITS_MAX: u32 = 28;
-
-/// FNV-1a over a byte slice.
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// FNV-1a of a state rank — the per-state term of the order-independent
 /// (XOR-merged) digests.

@@ -26,11 +26,13 @@ const PRIME: u64 = 0x0000_0100_0000_01b3;
 
 impl Fnv64 {
     /// A fresh hasher at the FNV offset basis.
+    #[inline]
     pub fn new() -> Fnv64 {
         Fnv64 { state: OFFSET }
     }
 
     /// Fold raw bytes into the stream.
+    #[inline]
     pub fn write_bytes(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.state ^= u64::from(b);
@@ -49,6 +51,7 @@ impl Fnv64 {
     }
 
     /// The current digest value.
+    #[inline]
     pub fn finish(&self) -> u64 {
         self.state
     }
@@ -61,6 +64,7 @@ impl Default for Fnv64 {
 }
 
 /// One-shot digest of a byte slice.
+#[inline]
 pub fn fnv64(bytes: &[u8]) -> u64 {
     let mut h = Fnv64::new();
     h.write_bytes(bytes);

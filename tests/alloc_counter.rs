@@ -9,27 +9,32 @@
 //! an integration test is its own crate, so the forbid does not apply.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static BYTES: AtomicU64 = AtomicU64::new(0);
+/// Bytes currently allocated (allocations minus deallocations).
+static LIVE: AtomicI64 = AtomicI64::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        LIVE.fetch_add(layout.size() as i64, Ordering::Relaxed);
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size() as i64, Ordering::Relaxed);
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        LIVE.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -174,6 +179,51 @@ fn world_construction_allocation_profile() {
     // in place (`rebind_home`), so a steady-state home-round must
     // allocate a small fraction of what a recycled build does.
     resident_rebind_amortizes_construction();
+
+    // 9. Long churning fleet runs (E32): the fleet's memo is each home's
+    // outcome slot, so a run that moves the epoch every round keeps one
+    // memo entry per home however many epochs pass. Only the region's
+    // intel may grow with the epoch count, never a per-home table.
+    churning_fleet_heap_stays_flat();
+}
+
+fn churning_fleet_heap_stays_flat() {
+    use iotsec_fleet::{Fleet, FleetConfig, FleetScenario};
+    use iotsec_repro::iotdev::registry::Sku;
+    use iotsec_repro::iotlearn::signature::{AttackSignature, Matcher, Severity};
+
+    const HOMES: u32 = 128;
+    const ROUNDS: u32 = 32;
+    // A novel signature for a SKU no home owns: it moves the epoch (every
+    // home misses its memo) without changing any home's outcome.
+    let miss = |k: u32| {
+        AttackSignature::new(
+            Sku::new("alloc-counter", "no-such-device", "1"),
+            &format!("miss-{k}"),
+            Matcher::MatchAll,
+            Severity::Medium,
+        )
+    };
+    let mut fleet = Fleet::new(FleetScenario::new(HOMES), FleetConfig::new(HOMES));
+    fleet.set_resident(true);
+    // Warm-up: the breach round installs the camera signature and the
+    // next round builds the resident world at the new epoch.
+    fleet.run(2);
+    let live_before = LIVE.load(Ordering::Relaxed);
+    for k in 0..ROUNDS {
+        fleet.inject_intel(vec![miss(k)]);
+        let r = fleet.round();
+        if k > 0 {
+            assert_eq!(r.executed, HOMES, "every round after the first runs at a fresh epoch");
+        }
+    }
+    let growth = LIVE.load(Ordering::Relaxed) - live_before;
+    let budget = 16 * i64::from(HOMES * ROUNDS);
+    assert!(
+        growth < budget,
+        "a churning fleet must grow its live heap by less than 16 B per home per round \
+         ({growth} B over {ROUNDS} rounds of {HOMES} homes, budget {budget} B)"
+    );
 }
 
 fn resident_rebind_amortizes_construction() {
@@ -197,7 +247,7 @@ fn resident_rebind_amortizes_construction() {
 
     // Semantics first: a rebound resident run is byte-equal to a cold run.
     let cold = scenario.run_home(0, seed, &intel);
-    w.rebind_home(seed);
+    w.rebind_home(template, seed);
     w.run_until_attack_done(horizon);
     assert_eq!(scenario.outcome_of(0, seed, &mut w), cold, "rebind must not change the outcome");
 
@@ -235,7 +285,7 @@ fn resident_rebind_amortizes_construction() {
     let rebind_bytes = (0..3)
         .map(|_| {
             bytes_during(|| {
-                w.rebind_home(seed);
+                w.rebind_home(template, seed);
                 w.run_until_attack_done(horizon);
             })
             .0
@@ -255,7 +305,7 @@ fn resident_rebind_amortizes_construction() {
 
     // A content-identical install is a no-op epoch bump: zero allocations.
     let same: Arc<[AttackSignature]> = intel.to_vec().into();
-    let (allocs, delta) = allocs_during(|| w.apply_intel_delta(2, &same));
+    let (allocs, delta) = allocs_during(|| w.apply_intel_delta(template, 2, &same));
     assert!(delta.noop, "content-equal intel must install as a noop: {delta:?}");
     assert_eq!(allocs, 0, "a noop delta install must not allocate");
 }

@@ -95,7 +95,7 @@ fn misaligned_fleet_is_thread_invariant() {
         assert_eq!(par, reference, "threads {threads}");
     }
     // Chunks are assigned to workers statically, so the per-worker
-    // counters (resident pools, recycled heaps) repeat exactly across
+    // counters (resident worlds, recycled heaps) repeat exactly across
     // reruns at a fixed thread count, in resident and rebuild mode.
     let counters = |resident: bool| {
         let mut fleet = Fleet::new(FleetScenario::new(4), cfg.with_threads(2));
